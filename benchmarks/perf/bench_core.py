@@ -20,7 +20,10 @@ wall time of one measured batch.  Sweep records carry an extra
 field is the executor's *actual* ``stats.workers_used`` — 1 whenever
 the auto-serial cutover refused the pool — never the requested count.
 ``check_sweep_speedup.py`` gates on the sweep pair, and
-``check_serve_throughput.py`` gates on ``serve_inproc_submit``.
+``check_serve_throughput.py`` gates on ``serve_inproc_submit``.  The
+``sim_scale_{1k,2k,4k}`` records time whole congested simulations
+(``cells_per_s`` is jobs/s there); ``check_sim_speedup.py`` bounds how
+fast their wall time grows.
 
 Usage::
 
@@ -78,6 +81,7 @@ class Scale:
     sweep_seeds: int
     sweep_jobs: int         # jobs per simulation cell
     master_failures: int    # master failure-log size for the sweep
+    scale_repeats: int      # repeats of each sim_scale_* simulation
 
 
 SCALES = {
@@ -90,6 +94,7 @@ SCALES = {
         sweep_seeds=2,
         sweep_jobs=25,
         master_failures=64,
+        scale_repeats=1,
     ),
     "default": Scale(
         micro_number=200,
@@ -98,8 +103,15 @@ SCALES = {
         sweep_seeds=2,
         sweep_jobs=120,
         master_failures=1024,
+        scale_repeats=2,
     ),
 }
+
+#: Job counts of the ``sim_scale_*`` records.  The counts are the same
+#: at every harness scale: the records measure how a whole simulation's
+#: wall time grows with the job count, and ``check_sim_speedup.py``
+#: bounds ``wall(4k) / wall(2k)``.
+SIM_SCALE_JOBS = (1000, 2000, 4000)
 
 
 def git_rev() -> str:
@@ -384,6 +396,45 @@ def bench_sim_modes(scale: Scale, incremental: bool, batch: bool):
     return run, 1
 
 
+def bench_sim_scale(n_jobs: int):
+    """One whole congested simulation: SDSC, balancing (a = 0.1), one
+    failure per job.
+
+    Failure kills keep the wait queue long, so this is the regime where
+    a scheduler pass used to cost time proportional to the queue (the
+    flat backfill scan) and migration planning re-placed every running
+    job per plan.  The operation count is the job count, so
+    ``cells_per_s`` reads as jobs/s.  Workload and failures are
+    pre-built; only the engine is timed.
+    """
+    from repro.api import SimulationSetup
+    from repro.core.policies.registry import make_policy
+    from repro.core.simulator import Simulator
+
+    setup = SimulationSetup(
+        site="sdsc",
+        n_jobs=n_jobs,
+        n_failures=n_jobs,
+        policy="balancing",
+        parameter=0.1,
+        seed=0,
+    )
+    workload = setup.build_workload()
+    failures = setup.build_failures(workload)
+
+    def run():
+        policy = make_policy(
+            "balancing",
+            failure_log=failures,
+            parameter=0.1,
+            pf_rule=setup.pf_rule,
+            seed=setup.seed + 2,
+        )
+        Simulator(workload, failures, policy, setup.config).run()
+
+    return run, n_jobs
+
+
 #: Serve-bench overload fixture: size-64 jobs against a 32-job engine
 #: cap, logical clock.  Caps fill almost immediately, so the bench
 #: measures the sustained submission path — admission bookkeeping plus
@@ -551,6 +602,16 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
     ):
         run, ops = bench_sim_modes(scale, incremental, batch)
         record(name, best_of(run, scale.repeats), ops)
+
+    # Scaling curve of whole congested simulations.
+    for n_jobs in SIM_SCALE_JOBS:
+        run, ops = bench_sim_scale(n_jobs)
+        record(
+            f"sim_scale_{n_jobs // 1000}k",
+            best_of(run, scale.scale_repeats),
+            ops,
+            jobs=n_jobs,
+        )
 
     # Service submission path: in-process (the CI throughput bar) and
     # over the TCP transport, both on the overload fixture.

@@ -318,6 +318,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         "_ne_idx",
         "_fmask",
         "_fall",
+        "_fit_sizes",
     )
 
     def __init__(self, torus: Torus) -> None:
@@ -356,6 +357,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         cx = fr @ t.ones[3]                                        # (S, X)
         self._tot = (cx @ t.ones[0]).astype(np.int64)              # (S,)
         self._ne_idx = np.flatnonzero(self._tot)
+        self._fit_sizes: frozenset[int] | None = None
         cyz = np.matmul(t.ones[0], fr)                             # (S, YZ)
         cy = cyz.reshape(S, Y, Z) @ t.ones[2]                      # (S, Y)
         cz = np.matmul(t.ones[1], cyz.reshape(S, Y, Z))            # (S, Z)
@@ -538,8 +540,14 @@ class IncrementalPlacementIndex(PlacementIndex):
         )
 
     def has_candidate(self, size: int) -> bool:
-        rows = self._tables.size_rows(size)
-        return bool(self._tot[rows].any()) if rows.size else False
+        # One set per occupancy state: the backfill scan asks about every
+        # queued size in every pass.
+        fits = self._fit_sizes
+        if fits is None:
+            fits = self._fit_sizes = frozenset(
+                self._tables.vol[self._ne_idx].tolist()
+            )
+        return size in fits
 
     def candidate_batch(self, size: int) -> CandidateBatch:
         # Same enumeration contract as the base implementation (shape

@@ -40,7 +40,12 @@ from repro.core.backfill import ShadowTimeEngine
 from repro.core.config import BackfillMode, SimulationConfig
 from repro.core.events import EventKind, EventQueue
 from repro.core.jobstate import MIN_ESTIMATE_S, JobState
-from repro.core.migration import apply_compaction, head_partition, plan_compaction
+from repro.core.migration import (
+    PlanMemo,
+    apply_compaction,
+    head_partition,
+    plan_compaction,
+)
 from repro.core.policies.base import SchedulingPolicy
 from repro.core.queue import WaitQueue
 
@@ -124,6 +129,7 @@ class Simulator:
             self.torus, incremental=self.config.incremental_index
         )
         self._shadow = ShadowTimeEngine(self.torus, index_cache=self._index_cache)
+        self._plan_memo = PlanMemo()
 
         for job in workload.jobs:
             self.submit_job(job)
@@ -457,7 +463,7 @@ class Simulator:
         if self.torus.free_count < head.size:
             return False
         running = [self.states[i] for i in self._running_ids]
-        plan = plan_compaction(self.torus, running, head)
+        plan = plan_compaction(self.torus, running, head, memo=self._plan_memo)
         if plan is None:
             return False
         apply_compaction(self.torus, plan, head.job_id)
@@ -492,7 +498,15 @@ class Simulator:
         self, index: PlacementIndex, head: JobState, now: float
     ) -> bool:
         """Start one lower-priority job if the mode permits; True if any
-        job started (the caller rebuilds the index and loops)."""
+        job started (the caller rebuilds the index and loops).
+
+        The started job is the FCFS-first waiting job (head excluded)
+        whose size has a free partition and whose estimated run ends by
+        the shadow time.  The policy places whenever a candidate exists,
+        so only that job reaches it; jobs of sizes with no free
+        partition are never examined (:meth:`WaitQueue.first_fitting`).
+        """
+        admits = None
         if self.config.backfill is BackfillMode.EASY:
             running = [self.states[i] for i in self._running_ids]
             shadow = self._shadow.shadow_time(running, head.size, now)
@@ -501,25 +515,35 @@ class Simulator:
                     f"job {head.job_id} (size {head.size}) cannot fit even "
                     f"an empty machine"
                 )
+            bound = shadow + _SHADOW_EPS
+
+            def admits(state: JobState) -> bool:
+                return now + self._estimated_wall(state) <= bound
         else:
             shadow = math.inf
-        for state in list(self.wait)[1:]:
-            est_wall = self.checkpoint.wall_duration(
-                max(state.remaining_estimate, MIN_ESTIMATE_S)
+        state = self.wait.first_fitting(head, index.has_candidate, admits)
+        if state is None:
+            return False
+        partition = self.policy.choose_partition(index, state, now)
+        if partition is None:  # pragma: no cover - has_candidate said yes
+            raise SimulationError(
+                f"policy {self.policy.name} refused job {state.job_id} "
+                f"although a free partition of size {state.size} exists"
             )
-            if now + est_wall > shadow + _SHADOW_EPS:
-                continue
-            partition = self.policy.choose_partition(index, state, now)
-            if partition is not None:
-                if self.recorder.enabled:
-                    self.recorder.emit(
-                        "backfill", now, job=state.job_id,
-                        head_job=head.job_id, shadow=shadow, est_wall=est_wall,
-                    )
-                self._dispatch(state, partition, now, via="backfill")
-                self.counters.backfills += 1
-                return True
-        return False
+        if self.recorder.enabled:
+            self.recorder.emit(
+                "backfill", now, job=state.job_id, head_job=head.job_id,
+                shadow=shadow, est_wall=self._estimated_wall(state),
+            )
+        self._dispatch(state, partition, now, via="backfill")
+        self.counters.backfills += 1
+        return True
+
+    def _estimated_wall(self, state: JobState) -> float:
+        """Wall time the scheduler expects the job's next run to take."""
+        return self.checkpoint.wall_duration(
+            max(state.remaining_estimate, MIN_ESTIMATE_S)
+        )
 
     def _dispatch(
         self, state: JobState, partition: Partition, now: float, via: str = "fcfs"
@@ -527,9 +551,7 @@ class Simulator:
         wall = self.checkpoint.wall_duration(state.remaining_work)
         wall = max(wall, 1e-9)
         epoch = state.dispatch(now, wall)
-        state.est_finish = now + self.checkpoint.wall_duration(
-            max(state.remaining_estimate, MIN_ESTIMATE_S)
-        )
+        state.est_finish = now + self._estimated_wall(state)
         if self.recorder.enabled:
             self.recorder.emit(
                 "dispatch", now, job=state.job_id, size=state.size,

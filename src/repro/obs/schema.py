@@ -23,7 +23,16 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 #: Version embedded in every trace header; bump on breaking change.
-TRACE_SCHEMA_VERSION = 1
+#:
+#: * 1 — one ``candidates`` record per policy call, including a
+#:   zero-candidate record for every waiting job the backfill scan
+#:   passed over because its size had no free partition.
+#: * 2 — the backfill scan skips sizes with no free partition without
+#:   asking the policy, so those zero-candidate records are gone.  The
+#:   queue head's zero-candidate record stays.  With every
+#:   ``n_candidates == 0`` record removed from both, a v1 and a v2 trace
+#:   of the same run are identical up to ``seq`` and the header version.
+TRACE_SCHEMA_VERSION = 2
 
 #: Common envelope present on every record.
 COMMON_FIELDS = frozenset({"kind", "t", "seq"})

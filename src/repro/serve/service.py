@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -169,7 +170,12 @@ def run_service(
         )
         await service.start()
         if ready_file is not None:
-            Path(ready_file).write_text(service.address + "\n", encoding="utf-8")
+            # Write-then-rename: a poller that sees the file sees the
+            # whole address, never an empty or partial line.
+            ready = Path(ready_file)
+            partial = ready.with_name(ready.name + ".partial")
+            partial.write_text(service.address + "\n", encoding="utf-8")
+            os.replace(partial, ready)
         await service.serve_until_shutdown()
 
     asyncio.run(_main())

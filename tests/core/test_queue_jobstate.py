@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -97,6 +99,53 @@ class TestWaitQueue:
         q.push(b)
         assert q.find(2) is b
         assert q.find(99) is None
+
+    def test_find_forgets_removed_and_discarded_jobs(self):
+        q = WaitQueue()
+        a, b = state(1, arrival=10.0), state(2, arrival=20.0)
+        q.push(a)
+        q.push(b)
+        q.remove(a)
+        q.discard(b)
+        assert q.find(1) is None and q.find(2) is None
+
+    def test_find_sees_resubmission_under_new_arrival(self):
+        q = WaitQueue()
+        old_life = state(3, arrival=10.0)
+        q.push(old_life)
+        assert q.discard(old_life)
+        new_life = state(3, arrival=40.0)
+        q.push(new_life)
+        assert q.find(3) is new_life
+        assert [s.job_id for s in q] == [3]
+
+    def test_same_id_twice_rejected_even_with_other_arrival(self):
+        """One id maps to one queued key; a second life must wait until
+        the first leaves the queue."""
+        q = WaitQueue()
+        q.push(state(4, arrival=10.0))
+        with pytest.raises(SimulationError):
+            q.push(state(4, arrival=30.0))
+        assert len(q) == 1
+
+    def test_find_agrees_with_linear_scan_under_churn(self):
+        rng = random.Random(5)
+        q = WaitQueue()
+        live: dict[int, JobState] = {}
+        for _ in range(400):
+            job_id = rng.randrange(60)
+            if job_id in live and rng.random() < 0.6:
+                assert q.discard(live.pop(job_id))
+            elif job_id not in live:
+                live[job_id] = state(
+                    job_id, arrival=float(rng.randrange(20)),
+                    size=rng.choice((1, 2, 4, 8)),
+                )
+                q.push(live[job_id])
+            for probe in (job_id, rng.randrange(60)):
+                expected = next((s for s in q if s.job_id == probe), None)
+                assert q.find(probe) is expected
+        assert q.requested_nodes == sum(s.size for s in live.values())
 
     def test_indexing_and_iteration(self):
         q = WaitQueue()

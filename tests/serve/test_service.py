@@ -17,6 +17,7 @@ from repro.api import SimulationSetup
 from repro.serve.client import SocketClient, connect
 from repro.serve.engine import ServeEngine
 from repro.serve.load import run_load
+from repro.serve.protocol import MAX_LINE_BYTES, encode
 from repro.serve.service import run_service
 
 
@@ -93,6 +94,36 @@ class TestTcpService:
             assert client.ping()["pong"]  # still serving
             client.shutdown()
         thread.join(timeout=10.0)
+
+    def test_drain_of_large_report_over_tcp(self, tmp_path):
+        """A 1000-job report is far larger than the 64 KiB request-line
+        cap; the client reads it whole, and shutdown answers after it."""
+        from repro.core.policies.registry import make_policy
+        from repro.core.simulator import Simulator
+        from repro.metrics.serialize import report_to_dict
+
+        big = SimulationSetup(site="sdsc", n_jobs=1000, n_failures=100, seed=13)
+        workload = big.build_workload()
+        failures = big.build_failures(workload)
+        policy = make_policy(
+            big.policy, failure_log=failures, parameter=big.parameter,
+            pf_rule=big.pf_rule, seed=big.seed + 2,
+        )
+        batch = report_to_dict(Simulator(workload, failures, policy, big.config).run())
+
+        engine = ServeEngine.from_setup(big)
+        address, thread = start_service(tmp_path, engine)
+        with SocketClient.connect(address) as client:
+            load = run_load(client, workload, pipeline_depth=64)
+            assert load.dropped == 0 and load.errors == 0
+            assert load.final_report == batch
+            again = client.drain()
+            assert len(encode(again)) > MAX_LINE_BYTES
+            assert again["ok"] and again["report"] == batch
+            reply = client.shutdown()
+            assert reply["ok"] and reply["shutdown"]
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
     def test_connect_helper_dispatches_by_target(self, setup):
         engine = ServeEngine.from_setup(setup)
