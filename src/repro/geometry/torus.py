@@ -283,7 +283,7 @@ class Torus:
             raise PartitionOverlapError(f"job {job_id} already allocated")
         partition.validate(self.dims)
         flat = self.grid.reshape(-1)
-        ids = self._box_ids(partition)
+        ids = self.box_ids(partition)
         if (flat[ids] != FREE).any():
             raise PartitionOverlapError(
                 f"partition {partition} overlaps occupied nodes"
@@ -296,14 +296,14 @@ class Torus:
     def release(self, job_id: int) -> Partition:
         """Free the partition held by ``job_id`` and return it."""
         partition = self.allocation_of(job_id)
-        self.grid.reshape(-1)[self._box_ids(partition)] = FREE
+        self.grid.reshape(-1)[self.box_ids(partition)] = FREE
         del self._allocations[job_id]
         self.version += 1
         self._log("free", partition)
         return partition
 
-    def _box_ids(self, partition: Partition) -> np.ndarray:
-        """Flat node ids of ``partition``'s wrapped box (cached)."""
+    def box_ids(self, partition: Partition) -> np.ndarray:
+        """Flat node ids of ``partition``'s wrapped box (cached; read only)."""
         key = (partition.base, partition.shape)
         ids = self._flat_ids.get(key)
         if ids is None:

@@ -23,6 +23,7 @@ from repro.serve.engine import ServeEngine
 from repro.serve.load import LoadReport, run_load
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    MAX_RESPONSE_BYTES,
     decode_line,
     encode,
     error_response,
@@ -40,6 +41,7 @@ __all__ = [
     "LoadReport",
     "run_load",
     "MAX_LINE_BYTES",
+    "MAX_RESPONSE_BYTES",
     "decode_line",
     "encode",
     "error_response",
